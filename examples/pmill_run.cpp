@@ -107,8 +107,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -119,117 +117,9 @@
 
 using namespace pmill;
 
-namespace {
-
-[[noreturn]] void
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s <config.click> [--opt LEVEL] [--model M] "
-                 "[--park-split BYTES] "
-                 "[--freq GHZ] [--offered GBPS] [--cores N] "
-                 "[--host-threads N] [--nics N] [--sockets N] "
-                 "[--rss-table N] [--queue-weight W] "
-                 "[--size BYTES] [--workload SPEC] [--duration US] "
-                 "[--verify] [--report] [--explain] "
-                 "[--json] [--stats-json PATH] [--stats-csv PATH] "
-                 "[--sample-interval-us N] [--trace-out PATH] "
-                 "[--trace-jsonl PATH] [--trace-sample-rate R] "
-                 "[--profile-out PATH] [--profile-in PATH] "
-                 "[--control hysteresis|aimd|steer] "
-                 "[--decision-log PATH] "
-                 "[--load-step-us US] [--load-step-gbps GBPS]\n",
-                 argv0);
-    std::exit(2);
-}
-
-[[noreturn]] void
-flag_error(const char *flag, const char *expect, const char *got)
-{
-    std::fprintf(stderr, "pmill_run: %s expects %s, got '%s'\n", flag,
-                 expect, got);
-    std::exit(2);
-}
-
-/**
- * Parse @p s as a double in [@p lo, @p hi] for @p flag; the whole
- * string must be numeric. @p lo_exclusive makes the lower bound
- * strict (e.g.\ rates in (0, 1]).
- */
-double
-parse_double_arg(const char *flag, const char *s, double lo, double hi,
-                 const char *expect, bool lo_exclusive = false)
-{
-    char *end = nullptr;
-    const double v = std::strtod(s, &end);
-    if (end == s || *end != '\0')
-        flag_error(flag, expect, s);
-    if (v < lo || v > hi || (lo_exclusive && v <= lo))
-        flag_error(flag, expect, s);
-    return v;
-}
-
-/** Parse @p s as an unsigned integer in [@p lo, @p hi] for @p flag. */
-std::uint32_t
-parse_u32_arg(const char *flag, const char *s, std::uint32_t lo,
-              std::uint32_t hi, const char *expect)
-{
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0')
-        flag_error(flag, expect, s);
-    if (v < lo || v > hi)
-        flag_error(flag, expect, s);
-    return static_cast<std::uint32_t>(v);
-}
-
-bool
-pick_opts(const std::string &name, PipelineOpts *out)
-{
-    if (name == "vanilla")
-        *out = opts_vanilla();
-    else if (name == "devirt")
-        *out = opts_devirtualize();
-    else if (name == "constants")
-        *out = opts_constants();
-    else if (name == "static")
-        *out = opts_static_graph();
-    else if (name == "all")
-        *out = opts_source_all();
-    else if (name == "packetmill")
-        *out = opts_packetmill();
-    else if (name == "lto-reorder")
-        *out = opts_lto_reorder();
-    else
-        return false;
-    return true;
-}
-
-bool
-pick_model(const std::string &name, MetadataModel *out)
-{
-    if (name == "copying")
-        *out = MetadataModel::kCopying;
-    else if (name == "overlaying")
-        *out = MetadataModel::kOverlaying;
-    else if (name == "xchange")
-        *out = MetadataModel::kXchange;
-    else if (name == "parking")
-        *out = MetadataModel::kParking;
-    else
-        return false;
-    return true;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        usage(argv[0]);
-
-    const std::string config_path = argv[1];
     PipelineOpts opts = opts_vanilla();
     double freq = 2.3, offered = 100.0, duration_us = 2500.0;
     double sample_us = 100.0;
@@ -247,206 +137,142 @@ main(int argc, char **argv)
     double load_step_us = 0.0, load_step_gbps = 0.0;
     double trace_rate = 1.0;
 
-    for (int i = 2; i < argc; ++i) {
-        std::string a = argv[i];
-        // Accept both "--name value" and "--name=value".
-        std::string inline_val;
-        bool has_inline = false;
-        if (a.rfind("--", 0) == 0) {
-            const std::size_t eq = a.find('=');
-            if (eq != std::string::npos) {
-                inline_val = a.substr(eq + 1);
-                a.resize(eq);
-                has_inline = true;
-            }
-        }
-        auto next = [&]() -> const char * {
-            if (has_inline)
-                return inline_val.c_str();
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            return argv[++i];
-        };
-        if (a == "--opt") {
-            const char *v = next();
-            if (!pick_opts(v, &opts))
-                flag_error("--opt",
-                           "vanilla|devirt|constants|static|all|"
-                           "packetmill|lto-reorder",
-                           v);
-        } else if (a == "--model") {
-            MetadataModel m;
-            const char *v = next();
-            if (!pick_model(v, &m))
-                flag_error("--model",
-                           "copying|overlaying|xchange|parking", v);
-            opts.model = m;
-        } else if (a == "--park-split") {
-            park_split = parse_u32_arg(
-                "--park-split", next(), 64, 1514,
-                "a split point in [64, 1514] bytes");
-        } else if (a == "--freq") {
-            freq = parse_double_arg("--freq", next(), 0.0, 10.0,
-                                    "a frequency in (0, 10] GHz", true);
-        } else if (a == "--offered") {
-            offered = parse_double_arg("--offered", next(), 0.0, 1000.0,
-                                       "a load in (0, 1000] Gbps", true);
-        } else if (a == "--cores") {
-            cores = parse_u32_arg("--cores", next(), 1, 64,
-                                  "a core count in [1, 64]");
-        } else if (a == "--host-threads") {
-            host_threads =
-                parse_u32_arg("--host-threads", next(), 1, 64,
-                              "a host thread count in [1, 64]");
-        } else if (a == "--nics") {
-            nics = parse_u32_arg("--nics", next(), 1, 8,
-                                 "a NIC count in [1, 8]");
-        } else if (a == "--sockets") {
-            sockets = parse_u32_arg("--sockets", next(), 1, 8,
-                                    "a socket count in [1, 8]");
-        } else if (a == "--rss-table") {
-            const char *v = next();
-            rss_table = parse_u32_arg(
-                "--rss-table", v, 0, 65536,
+    const std::pair<const char *, PipelineOpts (*)()> levels[] = {
+        {"vanilla", opts_vanilla},        {"devirt", opts_devirtualize},
+        {"constants", opts_constants},    {"static", opts_static_graph},
+        {"all", opts_source_all},         {"packetmill", opts_packetmill},
+        {"lto-reorder", opts_lto_reorder},
+    };
+    const std::pair<const char *, MetadataModel> models[] = {
+        {"copying", MetadataModel::kCopying},
+        {"overlaying", MetadataModel::kOverlaying},
+        {"xchange", MetadataModel::kXchange},
+        {"parking", MetadataModel::kParking},
+    };
+
+    FlagTable flags("pmill_run", "<config.click>");
+    flags
+        .custom("--opt", "LEVEL",
+                "vanilla|devirt|constants|static|all|packetmill|"
+                "lto-reorder",
+                [&](const std::string &v) {
+                    for (const auto &[name, make] : levels)
+                        if (v == name) {
+                            opts = make();
+                            return true;
+                        }
+                    return false;
+                })
+        .custom("--model", "M", "copying|overlaying|xchange|parking",
+                [&](const std::string &v) {
+                    for (const auto &[name, model] : models)
+                        if (v == name) {
+                            opts.model = model;
+                            return true;
+                        }
+                    return false;
+                })
+        .u32("--park-split", "BYTES", &park_split, 64, 1514,
+             "a split point in [64, 1514] bytes")
+        .real("--freq", "GHZ", &freq, kMinPositive, 10.0,
+              "a frequency in (0, 10] GHz")
+        .real("--offered", "GBPS", &offered, kMinPositive, 1000.0,
+              "a load in (0, 1000] Gbps")
+        .u32("--cores", "N", &cores, 1, 64, "a core count in [1, 64]")
+        .u32("--host-threads", "N", &host_threads, 1, 64,
+             "a host thread count in [1, 64]")
+        .u32("--nics", "N", &nics, 1, 8, "a NIC count in [1, 8]")
+        .u32("--sockets", "N", &sockets, 1, 8, "a socket count in [1, 8]")
+        .custom("--rss-table", "N",
                 "a power-of-two bucket count in [2, 65536] "
-                "(0 = legacy modulo)");
-            if (rss_table != 0 && (rss_table & (rss_table - 1)) != 0)
-                flag_error("--rss-table",
-                           "a power-of-two bucket count in [2, 65536] "
-                           "(0 = legacy modulo)",
-                           v);
-        } else if (a == "--queue-weight") {
-            // The engine's actuation surface hard-asserts [1, 64]
-            // (internal callers are pre-clamped); the config boundary
-            // validates instead, so a bad flag is a clean exit 2.
-            queue_weight = parse_u32_arg("--queue-weight", next(), 1, 64,
-                                         "a weight in [1, 64]");
-        } else if (a == "--size") {
-            fixed_size = parse_u32_arg("--size", next(), 60, 1514,
-                                       "a frame size in [60, 1514] bytes");
-        } else if (a == "--workload") {
-            workload_arg = next();
-        } else if (a == "--duration") {
-            duration_us =
-                parse_double_arg("--duration", next(), 0.0, 1e9,
-                                 "a duration in (0, 1e9] us", true);
-        } else if (a == "--verify") {
-            do_verify = true;
-        } else if (a == "--report") {
-            do_report = true;
-        } else if (a == "--json") {
-            do_json = true;
-        } else if (a == "--explain") {
-            do_explain = true;
-        } else if (a == "--stats-json") {
-            stats_json_path = next();
-        } else if (a == "--stats-csv") {
-            stats_csv_path = next();
-        } else if (a == "--sample-interval-us") {
-            sample_us = parse_double_arg(
-                "--sample-interval-us", next(), 0.0, 1e9,
-                "a period in [0, 1e9] us (0 disables sampling)");
-        } else if (a == "--trace-out") {
-            trace_out_path = next();
-        } else if (a == "--trace-jsonl") {
-            trace_jsonl_path = next();
-        } else if (a == "--trace-sample-rate") {
-            trace_rate = parse_double_arg("--trace-sample-rate", next(),
-                                          0.0, 1.0,
-                                          "a fraction in (0, 1]", true);
-        } else if (a == "--profile-out") {
-            profile_out_path = next();
-        } else if (a == "--profile-in") {
-            profile_in_path = next();
-        } else if (a == "--control") {
-            control_policy = next();
-            // Validate the name up front (the factory is the single
-            // source of truth for the known policies).
-            if (!make_policy(control_policy, ActuationLimits{},
-                             PolicyConfig{}))
-                flag_error("--control", "hysteresis|aimd|steer",
-                           control_policy.c_str());
-        } else if (a == "--decision-log") {
-            decision_log_path = next();
-        } else if (a == "--load-step-us") {
-            load_step_us = parse_double_arg(
-                "--load-step-us", next(), 0.0, 1e9,
-                "a time in [0, 1e9] us (0 = no step)");
-        } else if (a == "--load-step-gbps") {
-            load_step_gbps = parse_double_arg(
-                "--load-step-gbps", next(), 0.0, 1000.0,
-                "a load in (0, 1000] Gbps", true);
-        } else {
-            usage(argv[0]);
-        }
-        if (has_inline &&
-            (a == "--verify" || a == "--report" || a == "--json" ||
-             a == "--explain"))
-            usage(argv[0]);
-    }
+                "(0 = legacy modulo)",
+                [&](const std::string &v) {
+                    std::uint64_t n = 0;
+                    if (!read_uint(v, 65536, &n) || (n & (n - 1)) != 0)
+                        return false;
+                    rss_table = static_cast<std::uint32_t>(n);
+                    return true;
+                })
+        // The engine's actuation surface hard-asserts [1, 64] (internal
+        // callers are pre-clamped); the config boundary validates
+        // instead, so a bad flag is a clean exit 2.
+        .u32("--queue-weight", "W", &queue_weight, 1, 64,
+             "a weight in [1, 64]")
+        .u32("--size", "BYTES", &fixed_size, 60, 1514,
+             "a frame size in [60, 1514] bytes")
+        .text("--workload", "SPEC", &workload_arg)
+        .real("--duration", "US", &duration_us, kMinPositive, 1e9,
+              "a duration in (0, 1e9] us")
+        .on("--verify", &do_verify)
+        .on("--report", &do_report)
+        .on("--explain", &do_explain)
+        .on("--json", &do_json)
+        .text("--stats-json", "PATH", &stats_json_path)
+        .text("--stats-csv", "PATH", &stats_csv_path)
+        .real("--sample-interval-us", "N", &sample_us, 0.0, 1e9,
+              "a period in [0, 1e9] us (0 disables sampling)")
+        .text("--trace-out", "PATH", &trace_out_path)
+        .text("--trace-jsonl", "PATH", &trace_jsonl_path)
+        .real("--trace-sample-rate", "R", &trace_rate, kMinPositive, 1.0,
+              "a fraction in (0, 1]")
+        .text("--profile-out", "PATH", &profile_out_path)
+        .text("--profile-in", "PATH", &profile_in_path)
+        // The policy factory is the single source of truth for the
+        // known names.
+        .custom("--control", "hysteresis|aimd|steer",
+                "hysteresis|aimd|steer",
+                [&](const std::string &v) {
+                    control_policy = v;
+                    return make_policy(v, ActuationLimits{},
+                                       PolicyConfig{}) != nullptr;
+                })
+        .text("--decision-log", "PATH", &decision_log_path)
+        .real("--load-step-us", "US", &load_step_us, 0.0, 1e9,
+              "a time in [0, 1e9] us (0 = no step)")
+        .real("--load-step-gbps", "GBPS", &load_step_gbps, kMinPositive,
+              1000.0, "a load in (0, 1000] Gbps");
+    const std::vector<std::string> positional =
+        flags.parse_or_exit(argc, argv);
+    if (positional.size() != 1)
+        flags.fail("expected one configuration file");
+    const std::string &config_path = positional[0];
 
     // Cross-flag validation: reject inconsistent combinations with a
     // clean diagnostic instead of tripping an engine assertion.
-    if (sockets > cores) {
-        std::fprintf(stderr,
-                     "pmill_run: --sockets %u exceeds --cores %u (a "
-                     "socket with no core would never be accessed)\n",
-                     sockets, cores);
-        return 2;
-    }
-    if (host_threads > cores) {
-        std::fprintf(stderr,
-                     "pmill_run: --host-threads %u exceeds --cores %u "
-                     "(a worker with no simulated core to drive would "
-                     "idle forever)\n",
-                     host_threads, cores);
-        return 2;
-    }
+    if (sockets > cores)
+        flags.fail(strprintf("--sockets %u exceeds --cores %u (a socket "
+                             "with no core would never be accessed)",
+                             sockets, cores));
+    if (host_threads > cores)
+        flags.fail(strprintf("--host-threads %u exceeds --cores %u (a "
+                             "worker with no simulated core to drive "
+                             "would idle forever)",
+                             host_threads, cores));
     if (park_split != 0) {
         // The split only exists in the parking datapath; silently
         // accepting it under another model would look like it worked.
-        if (opts.model != MetadataModel::kParking) {
-            std::fprintf(stderr,
-                         "pmill_run: --park-split requires the parking "
-                         "metadata model (--model parking)\n");
-            return 2;
-        }
+        if (opts.model != MetadataModel::kParking)
+            flags.fail("--park-split requires the parking metadata model "
+                       "(--model parking)");
         opts.park_split_bytes = park_split;
     }
-    if (!decision_log_path.empty() && control_policy.empty()) {
-        std::fprintf(stderr,
-                     "pmill_run: --decision-log requires --control\n");
-        return 2;
-    }
-    if ((load_step_us > 0) != (load_step_gbps > 0)) {
-        std::fprintf(stderr,
-                     "pmill_run: --load-step-us and --load-step-gbps "
-                     "must be given together\n");
-        return 2;
-    }
+    if (!decision_log_path.empty() && control_policy.empty())
+        flags.fail("--decision-log requires --control");
+    if ((load_step_us > 0) != (load_step_gbps > 0))
+        flags.fail("--load-step-us and --load-step-gbps must be given "
+                   "together");
     const bool use_workload = !workload_arg.empty();
-    if (use_workload && fixed_size) {
-        std::fprintf(stderr,
-                     "pmill_run: --workload and --size are mutually "
-                     "exclusive (a workload defines its own sizes)\n");
-        return 2;
-    }
-    if (use_workload && do_verify) {
-        std::fprintf(stderr,
-                     "pmill_run: --verify replays a trace and cannot be "
-                     "combined with --workload\n");
-        return 2;
-    }
+    if (use_workload && fixed_size)
+        flags.fail("--workload and --size are mutually exclusive (a "
+                   "workload defines its own sizes)");
+    if (use_workload && do_verify)
+        flags.fail("--verify replays a trace and cannot be combined with "
+                   "--workload");
 
     WorkloadSpec wspec;
-    if (use_workload) {
-        std::string werr;
-        if (!load_workload_spec(workload_arg, &wspec, &werr)) {
-            std::fprintf(stderr, "pmill_run: bad --workload: %s\n",
-                         werr.c_str());
-            return 2;
-        }
-    }
+    std::string werr;
+    if (use_workload && !load_workload_spec(workload_arg, &wspec, &werr))
+        flags.fail("bad --workload: " + werr);
 
     std::ifstream in(config_path);
     if (!in) {

@@ -1,15 +1,13 @@
 #include "src/accounting/acct_report.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <istream>
-#include <map>
 #include <ostream>
 
 #include "src/common/log.hh"
+#include "src/common/parse.hh"
 #include "src/common/table_printer.hh"
 #include "src/runtime/engine.hh"
-#include "src/telemetry/bench_diff.hh"
 #include "src/telemetry/export.hh"
 
 namespace pmill {
@@ -20,14 +18,6 @@ double
 pct(double part, double whole)
 {
     return whole > 0 ? part / whole * 100.0 : 0.0;
-}
-
-double
-field_num(const std::map<std::string, std::string> &obj,
-          const std::string &key)
-{
-    auto it = obj.find(key);
-    return it == obj.end() ? 0.0 : std::strtod(it->second.c_str(), nullptr);
 }
 
 void
@@ -149,37 +139,49 @@ acct_report_from_jsonl(std::istream &is, AcctReport *out, std::string *err)
 {
     AcctReport rep;
     std::string line;
+    std::size_t lineno = 0;
+    auto fail = [&](const std::string &why) {
+        if (err)
+            *err = strprintf("line %zu: %s", lineno, why.c_str());
+        return false;
+    };
     while (std::getline(is, line)) {
-        std::map<std::string, std::string> obj;
+        ++lineno;
+        if (line.empty())
+            continue;
+        JsonObject obj;
         if (!parse_json_object_line(line, &obj))
-            continue;
-        auto type = obj.find("type");
-        if (type == obj.end())
-            continue;
-        if (type->second == "acct") {
-            const int core =
-                static_cast<int>(field_num(obj, "core"));
+            return fail("malformed JSON");
+        JsonFields f{obj, {}};
+        const std::string type = f.s("type");
+        if (type == "acct") {
+            // acct_write_jsonl writes the aggregate (core -1) and then
+            // every core in ascending order, so a core index is at most
+            // one past the highest seen so far.
+            const std::int64_t core = f.i(
+                "core", -1, static_cast<std::int64_t>(rep.cores.size()));
             AcctBucketRow row;
-            auto scope = obj.find("scope");
-            row.label = scope == obj.end() ? "?" : scope->second;
-            row.is_element = field_num(obj, "element") != 0;
+            row.label = obj.count("scope") ? f.s("scope") : "?";
+            row.is_element = f.u("element", 1) != 0;
             for (std::uint32_t c = 0; c < kAcctNumComponents; ++c)
-                row.comp[c] = field_num(obj, acct_component_name(c));
-            row.total = field_num(obj, "total_cycles");
+                row.comp[c] = f.d(acct_component_name(c));
+            row.total = f.d("total_cycles");
             if (core < 0) {
                 rep.aggregate.rows.push_back(std::move(row));
             } else {
-                if (rep.cores.size() <= static_cast<std::size_t>(core))
-                    rep.cores.resize(static_cast<std::size_t>(core) + 1);
+                if (rep.cores.size() == static_cast<std::size_t>(core))
+                    rep.cores.emplace_back();
                 rep.cores[static_cast<std::size_t>(core)].rows.push_back(
                     std::move(row));
             }
-        } else if (type->second == "acct_check") {
-            rep.sum_minus_total_fixed = static_cast<std::int64_t>(
-                field_num(obj, "sum_minus_total_fixed"));
-            rep.residual_cycles = field_num(obj, "residual_cycles");
-            rep.clock_cycles = field_num(obj, "clock_cycles");
+        } else if (type == "acct_check") {
+            rep.sum_minus_total_fixed =
+                f.i("sum_minus_total_fixed", INT64_MIN, INT64_MAX);
+            rep.residual_cycles = f.d("residual_cycles");
+            rep.clock_cycles = f.d("clock_cycles");
         }
+        if (!f.bad.empty())
+            return fail("malformed value for '" + f.bad + "'");
     }
     if (rep.empty()) {
         if (err)

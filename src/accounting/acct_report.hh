@@ -88,7 +88,8 @@ void acct_write_jsonl(const AcctReport &report, std::ostream &os);
 /**
  * Rebuild a report from a stats JSONL stream containing the lines
  * acct_write_jsonl() produced (other line types are skipped).
- * Returns false (with @p err set) when no acct lines are present.
+ * Returns false (with @p err set, naming the line and field) on a
+ * malformed line or value, or when no acct lines are present.
  */
 bool acct_report_from_jsonl(std::istream &is, AcctReport *out,
                             std::string *err);

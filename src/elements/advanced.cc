@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "src/common/log.hh"
+#include "src/common/parse.hh"
 #include "src/elements/args.hh"
 #include "src/elements/elements.hh"
 #include "src/framework/config_parser.hh"
@@ -22,7 +23,7 @@ IdsCheck::configure(const std::vector<std::string> &args, std::string *err)
     for (const auto &[kw, val] : parse_keywords(args)) {
         if (kw == "CONNTRACK" || kw.empty()) {
             std::uint64_t v = 0;
-            if (!parse_uint(val, &v) || v == 0) {
+            if (!read_uint(val, UINT32_MAX, &v) || v == 0) {
                 if (err)
                     *err = "IdsCheck: bad CONNTRACK '" + val + "'";
                 return false;
@@ -30,7 +31,7 @@ IdsCheck::configure(const std::vector<std::string> &args, std::string *err)
             conntrack_capacity_ = static_cast<std::uint32_t>(v);
         } else if (kw == "IDLE_TIMEOUT_MS") {
             double t = 0;
-            if (!parse_double(val, &t) || t <= 0) {
+            if (!read_double(val, 0.0, kMaxDouble, &t) || t <= 0) {
                 if (err)
                     *err = "IdsCheck: bad IDLE_TIMEOUT_MS '" + val + "'";
                 return false;
@@ -228,7 +229,7 @@ VlanEncap::configure(const std::vector<std::string> &args, std::string *err)
     for (const auto &[kw, val] : parse_keywords(args)) {
         std::uint64_t v = 0;
         if ((kw == "VLAN_ID" || kw == "VLAN_TCI" || kw.empty()) &&
-            parse_uint(val, &v) && v < 65536) {
+            read_uint(val, 65535, &v)) {
             tci_ = static_cast<std::uint16_t>(v);
         } else {
             if (err)
@@ -293,15 +294,15 @@ Napt::configure(const std::vector<std::string> &args, std::string *err)
             }
         } else if (kw == "CAPACITY") {
             std::uint64_t v = 0;
-            if (!parse_uint(val, &v) || v == 0) {
+            if (!read_uint(val, UINT32_MAX, &v) || v == 0) {
                 if (err)
-                    *err = "Napt: bad CAPACITY";
+                    *err = "Napt: bad CAPACITY '" + val + "'";
                 return false;
             }
             capacity_ = static_cast<std::uint32_t>(v);
         } else if (kw == "IDLE_TIMEOUT_MS") {
             double t = 0;
-            if (!parse_double(val, &t)) {
+            if (!read_double(val, 0.0, kMaxDouble, &t)) {
                 if (err)
                     *err = "Napt: bad IDLE_TIMEOUT_MS '" + val + "'";
                 return false;
@@ -471,7 +472,7 @@ WorkPackage::configure(const std::vector<std::string> &args,
 {
     for (const auto &[kw, val] : parse_keywords(args)) {
         std::uint64_t v = 0;
-        if (!parse_uint(val, &v)) {
+        if (!read_uint(val, UINT32_MAX, &v)) {
             if (err)
                 *err = "WorkPackage: bad value '" + val + "'";
             return false;

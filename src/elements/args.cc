@@ -1,37 +1,10 @@
 #include "src/elements/args.hh"
 
 #include <cctype>
-#include <cstdlib>
+
+#include "src/common/parse.hh"
 
 namespace pmill {
-
-bool
-parse_uint(const std::string &s, std::uint64_t *out)
-{
-    if (s.empty())
-        return false;
-    std::uint64_t v = 0;
-    for (char c : s) {
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-            return false;
-        v = v * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    *out = v;
-    return true;
-}
-
-bool
-parse_double(const std::string &s, double *out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (end != s.c_str() + s.size() || v < 0)
-        return false;
-    *out = v;
-    return true;
-}
 
 bool
 parse_ipv4(const std::string &s, Ipv4Addr *out)
@@ -42,7 +15,7 @@ parse_ipv4(const std::string &s, Ipv4Addr *out)
     for (std::size_t i = 0; i <= s.size(); ++i) {
         if (i == s.size() || s[i] == '.') {
             std::uint64_t v;
-            if (pi >= 4 || !parse_uint(cur, &v) || v > 255)
+            if (pi >= 4 || !read_uint(cur, 255, &v))
                 return false;
             parts[pi++] = static_cast<std::uint32_t>(v);
             cur.clear();
@@ -67,10 +40,10 @@ parse_mac(const std::string &s, MacAddr *out)
     std::string cur;
     for (std::size_t i = 0; i <= s.size(); ++i) {
         if (i == s.size() || s[i] == ':') {
-            if (bi >= 6 || cur.empty() || cur.size() > 2)
+            std::uint64_t v;
+            if (bi >= 6 || cur.size() > 2 || !read_uint(cur, 0xFF, &v, 16))
                 return false;
-            m.bytes[bi++] = static_cast<std::uint8_t>(
-                std::strtoul(cur.c_str(), nullptr, 16));
+            m.bytes[bi++] = static_cast<std::uint8_t>(v);
             cur.clear();
         } else if (std::isxdigit(static_cast<unsigned char>(s[i]))) {
             cur += s[i];
@@ -96,12 +69,10 @@ parse_route(const std::string &s, Route *out)
     if (!parse_ipv4(s.substr(0, slash), &r.prefix))
         return false;
     std::uint64_t len, port;
-    if (!parse_uint(s.substr(slash + 1, space - slash - 1), &len) ||
-        len > 32)
+    if (!read_uint(s.substr(slash + 1, space - slash - 1), 32, &len))
         return false;
     const std::size_t pb = s.find_first_not_of(" \t", space);
-    if (pb == std::string::npos || !parse_uint(s.substr(pb), &port) ||
-        port > 0x7FFF)
+    if (pb == std::string::npos || !read_uint(s.substr(pb), 0x7FFF, &port))
         return false;
     r.prefix_len = static_cast<std::uint8_t>(len);
     r.next_hop = static_cast<std::uint16_t>(port);

@@ -1,6 +1,7 @@
 /**
  * @file
- * Argument-parsing helpers shared by element configure() methods.
+ * Address and route parsing shared by element configure() methods;
+ * numbers go through the strict reads of src/common/parse.hh.
  */
 
 #ifndef PMILL_ELEMENTS_ARGS_HH
@@ -14,12 +15,6 @@
 #include "src/table/lpm.hh"
 
 namespace pmill {
-
-/** Parse an unsigned integer; false on garbage. */
-bool parse_uint(const std::string &s, std::uint64_t *out);
-
-/** Parse a non-negative decimal number; false on garbage. */
-bool parse_double(const std::string &s, double *out);
 
 /** Parse dotted-quad IPv4. */
 bool parse_ipv4(const std::string &s, Ipv4Addr *out);

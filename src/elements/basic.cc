@@ -8,6 +8,7 @@
 #include <cstring>
 
 #include "src/common/log.hh"
+#include "src/common/parse.hh"
 #include "src/elements/args.hh"
 #include "src/elements/elements.hh"
 #include "src/framework/config_parser.hh"
@@ -22,7 +23,7 @@ FromDPDKDevice::configure(const std::vector<std::string> &args,
 {
     for (const auto &[kw, val] : parse_keywords(args)) {
         std::uint64_t v = 0;
-        if (!parse_uint(val, &v)) {
+        if (!read_uint(val, UINT32_MAX, &v)) {
             if (err)
                 *err = "FromDPDKDevice: bad value '" + val + "'";
             return false;
@@ -52,7 +53,7 @@ ToDPDKDevice::configure(const std::vector<std::string> &args,
 {
     for (const auto &[kw, val] : parse_keywords(args)) {
         std::uint64_t v = 0;
-        if (!parse_uint(val, &v)) {
+        if (!read_uint(val, UINT32_MAX, &v)) {
             if (err)
                 *err = "ToDPDKDevice: bad value '" + val + "'";
             return false;

@@ -3,6 +3,7 @@
 #include <cctype>
 
 #include "src/common/log.hh"
+#include "src/common/parse.hh"
 
 namespace pmill {
 
@@ -170,16 +171,16 @@ class Scanner {
         if (!consume('['))
             return -1;
         skip_space();
-        int v = 0;
-        bool any = false;
+        const std::size_t start = pos_;
         while (pos_ < text_.size() &&
-               std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-            v = v * 10 + (text_[pos_++] - '0');
-            any = true;
-        }
-        if (!any || !consume(']'))
+               std::isdigit(static_cast<unsigned char>(text_[pos_])))
+            ++pos_;
+        std::uint64_t v = 0;
+        if (!read_uint(std::string_view(text_).substr(start, pos_ - start),
+                       INT32_MAX, &v) ||
+            !consume(']'))
             return -2;  // malformed
-        return v;
+        return static_cast<int>(v);
     }
 
     int line() const { return line_; }

@@ -1,18 +1,15 @@
 #include "src/mill/profile.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <numeric>
 #include <sstream>
 
 #include "src/common/log.hh"
+#include "src/common/parse.hh"
 #include "src/common/table_printer.hh"
 #include "src/runtime/engine.hh"
-#include "src/telemetry/bench_diff.hh"
 #include "src/telemetry/export.hh"
 #include "src/tracing/lifecycle.hh"
 
@@ -32,102 +29,6 @@ join_u64(const std::vector<std::uint64_t> &v)
     }
     return s;
 }
-
-/// Strict whole-token parses: a corrupted or hand-edited artifact
-/// must fail the load, not silently parse as 0.
-bool
-parse_u64_token(const std::string &tok, std::uint64_t *out)
-{
-    if (tok.empty() || !std::isdigit(static_cast<unsigned char>(tok[0])))
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    *out = std::strtoull(tok.c_str(), &end, 10);
-    return end == tok.c_str() + tok.size() && errno == 0;
-}
-
-bool
-parse_double_token(const std::string &tok, double *out)
-{
-    if (tok.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    *out = std::strtod(tok.c_str(), &end);
-    return end == tok.c_str() + tok.size() && errno == 0;
-}
-
-bool
-split_u64(const std::string &s, std::vector<std::uint64_t> *out)
-{
-    out->clear();
-    if (s.empty())
-        return true;
-    std::size_t pos = 0;
-    while (pos <= s.size()) {
-        const std::size_t comma = s.find(',', pos);
-        const std::string tok =
-            s.substr(pos, comma == std::string::npos ? std::string::npos
-                                                     : comma - pos);
-        std::uint64_t v = 0;
-        if (!parse_u64_token(tok, &v))
-            return false;
-        out->push_back(v);
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return true;
-}
-
-/**
- * Field accessors over one parsed JSON-Lines object. A missing key
- * reads as the zero value (older artifacts may lack newer fields);
- * a present-but-malformed value records the key in `bad` so the
- * caller can fail the whole parse.
- */
-struct Fields {
-    const std::map<std::string, std::string> &obj;
-    std::string bad;  ///< first key with a malformed value; "" = ok
-
-    std::string
-    s(const char *key) const
-    {
-        auto it = obj.find(key);
-        return it == obj.end() ? std::string() : it->second;
-    }
-
-    double
-    d(const char *key)
-    {
-        auto it = obj.find(key);
-        double v = 0.0;
-        if (it != obj.end() && !parse_double_token(it->second, &v) &&
-            bad.empty())
-            bad = key;
-        return v;
-    }
-
-    std::uint64_t
-    u(const char *key)
-    {
-        auto it = obj.find(key);
-        std::uint64_t v = 0;
-        if (it != obj.end() && !parse_u64_token(it->second, &v) &&
-            bad.empty())
-            bad = key;
-        return v;
-    }
-
-    std::vector<std::uint64_t>
-    u64s(const char *key)
-    {
-        std::vector<std::uint64_t> v;
-        if (!split_u64(s(key), &v) && bad.empty())
-            bad = key;
-        return v;
-    }
-};
 
 /// Smallest power of two >= v (v >= 1).
 std::uint32_t
@@ -210,14 +111,14 @@ Profile::parse(const std::string &text, Profile *out, std::string *err)
         ++lineno;
         if (line.empty())
             continue;
-        std::map<std::string, std::string> obj;
+        JsonObject obj;
         if (!parse_json_object_line(line, &obj)) {
             if (err)
                 *err = strprintf("profile line %zu: malformed JSON",
                                  lineno);
             return false;
         }
-        Fields f{obj, {}};
+        JsonFields f{obj, {}};
         const std::string type = f.s("type");
         if (type == "profile_meta") {
             out->freq_ghz = f.d("freq_ghz");
@@ -225,7 +126,7 @@ Profile::parse(const std::string &text, Profile *out, std::string *err)
             out->throughput_gbps = f.d("throughput_gbps");
             out->mpps = f.d("mpps");
             out->stall_share = f.d("stall_share");
-            out->burst = static_cast<std::uint32_t>(f.u("burst"));
+            out->burst = static_cast<std::uint32_t>(f.u("burst", UINT32_MAX));
             out->model = f.s("model");
             out->dominant_element = f.s("dominant_element");
             have_meta = true;

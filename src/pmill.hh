@@ -13,6 +13,7 @@
 #include "src/accounting/cycle_account.hh"
 #include "src/common/histogram.hh"
 #include "src/common/log.hh"
+#include "src/common/parse.hh"
 #include "src/common/random.hh"
 #include "src/common/table_printer.hh"
 #include "src/common/units.hh"

@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 
 #include "src/common/log.hh"
+#include "src/common/parse.hh"
 #include "src/common/table_printer.hh"
-#include "src/telemetry/export.hh"
 
 namespace pmill {
 
@@ -108,121 +107,6 @@ classify_column(const std::string &column)
 }
 
 bool
-parse_json_object_line(const std::string &line,
-                       std::map<std::string, std::string> *out)
-{
-    out->clear();
-    std::size_t i = 0;
-    const std::size_t n = line.size();
-    auto skip_ws = [&] {
-        while (i < n && std::isspace(static_cast<unsigned char>(line[i])))
-            ++i;
-    };
-    auto parse_string = [&](std::string *s) -> bool {
-        if (i >= n || line[i] != '"')
-            return false;
-        ++i;
-        s->clear();
-        while (i < n && line[i] != '"') {
-            if (line[i] == '\\' && i + 1 < n) {
-                ++i;
-                switch (line[i]) {
-                  case 'n': *s += '\n'; break;
-                  case 't': *s += '\t'; break;
-                  case 'r': *s += '\r'; break;
-                  case 'u':
-                    // \uXXXX: artifacts only emit control chars this
-                    // way; decode the low byte.
-                    if (i + 4 < n) {
-                        *s += static_cast<char>(std::strtol(
-                            line.substr(i + 1, 4).c_str(), nullptr, 16));
-                        i += 4;
-                    }
-                    break;
-                  default: *s += line[i];
-                }
-            } else {
-                *s += line[i];
-            }
-            ++i;
-        }
-        if (i >= n)
-            return false;
-        ++i;  // closing quote
-        return true;
-    };
-
-    skip_ws();
-    if (i >= n || line[i] != '{')
-        return false;
-    ++i;
-    skip_ws();
-    if (i < n && line[i] == '}')
-        return true;
-    while (true) {
-        skip_ws();
-        std::string key;
-        if (!parse_string(&key))
-            return false;
-        skip_ws();
-        if (i >= n || line[i] != ':')
-            return false;
-        ++i;
-        skip_ws();
-        std::string val;
-        if (i < n && line[i] == '"') {
-            if (!parse_string(&val))
-                return false;
-        } else if (i < n && line[i] == '[') {
-            // Arrays only appear as the meta line's column list;
-            // capture the raw bracketed text.
-            const std::size_t start = i;
-            int depth = 0;
-            bool in_str = false;
-            for (; i < n; ++i) {
-                const char c = line[i];
-                if (in_str) {
-                    if (c == '\\')
-                        ++i;
-                    else if (c == '"')
-                        in_str = false;
-                } else if (c == '"') {
-                    in_str = true;
-                } else if (c == '[') {
-                    ++depth;
-                } else if (c == ']' && --depth == 0) {
-                    ++i;
-                    break;
-                }
-            }
-            if (depth != 0)
-                return false;
-            val = line.substr(start, i - start);
-        } else {
-            // Bare token: number / true / false / null.
-            const std::size_t start = i;
-            while (i < n && line[i] != ',' && line[i] != '}')
-                ++i;
-            val = line.substr(start, i - start);
-            while (!val.empty() &&
-                   std::isspace(static_cast<unsigned char>(val.back())))
-                val.pop_back();
-            if (val.empty())
-                return false;
-        }
-        (*out)[key] = val;
-        skip_ws();
-        if (i < n && line[i] == ',') {
-            ++i;
-            continue;
-        }
-        break;
-    }
-    skip_ws();
-    return i < n && line[i] == '}';
-}
-
-bool
 load_bench_table(const std::string &path, BenchTable *out, std::string *err)
 {
     std::ifstream in(path);
@@ -236,7 +120,7 @@ load_bench_table(const std::string &path, BenchTable *out, std::string *err)
     while (std::getline(in, line)) {
         if (line.empty())
             continue;
-        std::map<std::string, std::string> obj;
+        JsonObject obj;
         if (!parse_json_object_line(line, &obj)) {
             if (err)
                 *err = path + ": malformed line: " + line;
@@ -350,15 +234,15 @@ diff_bench_dirs(const std::string &base_dir, const std::string &cur_dir,
                 const auto cv = cur.rows[r].find(col);
                 if (bv == base.rows[r].end() || cv == cur.rows[r].end())
                     continue;
-                if (!json_is_numeric(bv->second) ||
-                    !json_is_numeric(cv->second))
-                    continue;
                 BenchDiffResult::Delta d;
+                if (!read_double(bv->second, kMinDouble, kMaxDouble,
+                                 &d.base) ||
+                    !read_double(cv->second, kMinDouble, kMaxDouble,
+                                 &d.cur))
+                    continue;
                 d.bench = name;
                 d.column = col;
                 d.row = r;
-                d.base = std::atof(bv->second.c_str());
-                d.cur = std::atof(cv->second.c_str());
                 d.cls = cls;
                 const double denom = std::max(std::fabs(d.base), 1e-12);
                 d.pct = (d.cur - d.base) / denom * 100.0;

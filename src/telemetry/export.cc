@@ -1,10 +1,9 @@
 #include "src/telemetry/export.hh"
 
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 
 #include "src/common/log.hh"
+#include "src/common/parse.hh"
 #include "src/common/table_printer.hh"
 
 namespace pmill {
@@ -39,26 +38,11 @@ json_number(double v)
     return strprintf("%.10g", v);
 }
 
-bool
-json_is_numeric(const std::string &s)
-{
-    if (s.empty())
-        return false;
-    // strtod accepts "inf"/"nan"/hex floats; restrict to plain
-    // decimal so the output stays standard JSON.
-    for (char c : s)
-        if (!(std::isdigit(static_cast<unsigned char>(c)) || c == '.' ||
-              c == '-' || c == '+' || c == 'e' || c == 'E'))
-            return false;
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    return end == s.c_str() + s.size() && std::isfinite(v);
-}
-
 std::string
 json_cell(const std::string &s)
 {
-    if (json_is_numeric(s))
+    double v = 0;
+    if (read_double(s, kMinDouble, kMaxDouble, &v))
         return s;
     return "\"" + json_escape(s) + "\"";
 }

@@ -26,15 +26,9 @@ std::string json_escape(const std::string &s);
 std::string json_number(double v);
 
 /**
- * True when @p s parses in full as a finite decimal number ("12.3",
- * "-4e5"), i.e.\ it can be emitted as a bare JSON number. "inf",
- * "nan", "1.2x", "85%", and "" are not numeric cells.
- */
-bool json_is_numeric(const std::string &s);
-
-/**
- * @p s rendered as a JSON value: bare when json_is_numeric(), an
- * escaped string literal otherwise.
+ * @p s rendered as a JSON value: bare when read_double() accepts it
+ * (a finite JSON number such as "12.3" or "-4e5"), an escaped string
+ * literal otherwise ("inf", "1.2x", "85%", "").
  */
 std::string json_cell(const std::string &s);
 

@@ -60,12 +60,6 @@ class Trace {
                              static_cast<double>(size());
     }
 
-    /** Serialize to a compact binary file. @return false on I/O error. */
-    bool save(const std::string &path) const;
-
-    /** Load a trace written by save(). @return false on error. */
-    bool load(const std::string &path);
-
   private:
     struct Index {
         std::uint64_t offset;

@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "src/common/log.hh"
+#include "src/common/parse.hh"
 #include "src/elements/args.hh"
 #include "src/net/flow.hh"
 #include "src/net/packet_builder.hh"
@@ -125,43 +126,43 @@ WorkloadSpec::parse(const std::string &text, std::string *error)
                 return fail("unknown workload kind '" + val + "'");
             apply_kind_defaults(this);
         } else if (key == "flows") {
-            if (!parse_uint(val, &u) || u < 1 || u > kMaxFlows)
+            if (!read_uint(val, kMaxFlows, &u) || u < 1)
                 return fail("flows must be in [1, 2^26]");
             flows = u;
         } else if (key == "skew") {
-            if (!parse_double(val, &d) || d > 4.0)
+            if (!read_double(val, 0.0, 4.0, &d))
                 return fail("skew must be in [0, 4]");
             skew = d;
         } else if (key == "pkts") {
-            if (!parse_uint(val, &u))
+            if (!read_uint(val, UINT64_MAX, &u))
                 return fail("bad pkts value '" + val + "'");
             flow_pkts = u;
         } else if (key == "len") {
-            if (!parse_uint(val, &u) ||
-                (u != 0 && (u < kMinFrameLen || u > kMaxFrameLen)))
+            if (!read_uint(val, kMaxFrameLen, &u) ||
+                (u != 0 && u < kMinFrameLen))
                 return fail("len must be 0 or in [60, 1514]");
             frame_len = static_cast<std::uint32_t>(u);
         } else if (key == "udp") {
-            if (!parse_double(val, &d) || d > 1.0)
+            if (!read_double(val, 0.0, 1.0, &d))
                 return fail("udp must be in [0, 1]");
             udp_frac = d;
         } else if (key == "burst") {
-            if (!parse_double(val, &d) || d < 1.0 || d > 1000.0)
+            if (!read_double(val, 1.0, 1000.0, &d))
                 return fail("burst must be in [1, 1000]");
             burst = d;
         } else if (key == "phase") {
-            if (!parse_double(val, &d) || d < 2.0)
+            if (!read_double(val, 2.0, kMaxDouble, &d))
                 return fail("phase must be >= 2 packets");
             phase_pkts = d;
         } else if (key == "seed") {
-            if (!parse_uint(val, &u))
+            if (!read_uint(val, UINT64_MAX, &u))
                 return fail("bad seed value '" + val + "'");
             seed = u;
         } else if (key == "victim") {
             if (!parse_ipv4(val, &victim))
                 return fail("bad victim address '" + val + "'");
         } else if (key == "vport") {
-            if (!parse_uint(val, &u) || u < 1 || u > 65535)
+            if (!read_uint(val, 65535, &u) || u < 1)
                 return fail("vport must be in [1, 65535]");
             victim_port = static_cast<std::uint16_t>(u);
         } else {

@@ -205,5 +205,41 @@ TEST(AcctReport, StreamWithoutAcctLinesFails)
     EXPECT_NE(err.find("acct"), std::string::npos);
 }
 
+TEST(AcctReport, MalformedInputFailsWithLineAndField)
+{
+    // Not skipped when accounting is compiled out: the reader is pure
+    // text processing.
+    const char kRow[] = "{\"type\":\"acct\",\"core\":-1,"
+                        "\"scope\":\"idle\",\"element\":0,"
+                        "\"total_cycles\":10}\n";
+    const struct {
+        std::string text;
+        const char *expect;
+    } cases[] = {
+        {std::string(kRow) +
+             "{\"type\":\"acct\",\"core\":-1,\"total_cycles\":\"oops\"}\n",
+         "line 2: malformed value for 'total_cycles'"},
+        {std::string(kRow) + "{\"type\":\"acct\",\"core\":\n",
+         "line 2: malformed JSON"},
+        {"{\"type\":\"acct\",\"core\":1000000000,\"total_cycles\":1}\n",
+         "line 1: malformed value for 'core'"},
+        // Cores are written in ascending order from 0: core 1 cannot
+        // come before core 0.
+        {std::string(kRow) +
+             "{\"type\":\"acct\",\"core\":1,\"total_cycles\":1}\n",
+         "line 2: malformed value for 'core'"},
+        {std::string(kRow) +
+             "{\"type\":\"acct_check\",\"sum_minus_total_fixed\":1.5}\n",
+         "line 2: malformed value for 'sum_minus_total_fixed'"},
+    };
+    for (const auto &c : cases) {
+        std::stringstream ss(c.text);
+        AcctReport rep;
+        std::string err;
+        EXPECT_FALSE(acct_report_from_jsonl(ss, &rep, &err)) << c.text;
+        EXPECT_EQ(err, c.expect) << c.text;
+    }
+}
+
 } // namespace
 } // namespace pmill

@@ -12,6 +12,7 @@
 #include <map>
 #include <string>
 
+#include "src/common/parse.hh"
 #include "src/telemetry/bench_diff.hh"
 
 namespace pmill {

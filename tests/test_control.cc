@@ -14,12 +14,12 @@
 #include <sstream>
 #include <vector>
 
+#include "src/common/parse.hh"
 #include "src/control/controller.hh"
 #include "src/control/policy.hh"
 #include "src/mill/profile.hh"
 #include "src/runtime/engine.hh"
 #include "src/runtime/experiments.hh"
-#include "src/telemetry/bench_diff.hh"
 
 namespace pmill {
 namespace {

@@ -151,6 +151,25 @@ TEST(WorkloadSpec, RejectsBadInput)
     EXPECT_FALSE(err.empty());
 }
 
+TEST(WorkloadSpec, RejectsNonFiniteAndOverflowingValues)
+{
+    // Each must fail and name its key: the old reader let NaN/inf
+    // through to the samplers and wrapped a 65-bit flow count to 1.
+    const std::pair<const char *, const char *> cases[] = {
+        {"zipf:flows=1000,skew=nan", "skew"},
+        {"zipf:flows=1000,burst=nan", "burst"},
+        {"zipf:flows=1000,phase=inf", "phase"},
+        {"zipf:flows=18446744073709551617", "flows"},
+        {"uniform:udp=-0.5", "udp"},
+    };
+    for (const auto &[text, key] : cases) {
+        WorkloadSpec spec;
+        std::string err;
+        EXPECT_FALSE(spec.parse(text, &err)) << text;
+        EXPECT_NE(err.find(key), std::string::npos) << text << ": " << err;
+    }
+}
+
 TEST(WorkloadSpec, LoadsFromFile)
 {
     const std::string path = ::testing::TempDir() + "/wl_test.workload";

@@ -15,62 +15,37 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <vector>
 
+#include "src/common/parse.hh"
 #include "src/telemetry/bench_diff.hh"
-
-namespace {
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s <baseline_dir> <current_dir> "
-                 "[--threshold PCT] [--host-threshold PCT] [--verbose]\n",
-                 argv0);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string base_dir, cur_dir;
     double threshold = 5.0;
     double host_threshold = -1.0;  // informational by default
-    bool verbose = false;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--verbose" || arg == "-v") {
-            verbose = true;
-        } else if (arg == "--threshold" && i + 1 < argc) {
-            threshold = std::atof(argv[++i]);
-        } else if (arg.rfind("--threshold=", 0) == 0) {
-            threshold = std::atof(arg.c_str() + std::strlen("--threshold="));
-        } else if (arg == "--host-threshold" && i + 1 < argc) {
-            host_threshold = std::atof(argv[++i]);
-        } else if (arg.rfind("--host-threshold=", 0) == 0) {
-            host_threshold =
-                std::atof(arg.c_str() + std::strlen("--host-threshold="));
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (base_dir.empty()) {
-            base_dir = arg;
-        } else if (cur_dir.empty()) {
-            cur_dir = arg;
-        } else {
-            usage(argv[0]);
-            return 2;
-        }
+    bool verbose = false, help = false;
+    pmill::FlagTable flags("pmill_bench_diff",
+                           "<baseline_dir> <current_dir>");
+    flags
+        .real("--threshold", "PCT", &threshold, pmill::kMinPositive,
+              1000.0, "a percentage in (0, 1000]")
+        .real("--host-threshold", "PCT", &host_threshold, 0.0, 1000.0,
+              "a percentage in [0, 1000]")
+        .on("--verbose", &verbose)
+        .on("-v", &verbose)
+        .on("--help", &help)
+        .on("-h", &help);
+    const std::vector<std::string> pos = flags.parse_or_exit(argc, argv);
+    if (help) {
+        std::fputs(flags.usage().c_str(), stderr);
+        return 0;
     }
-    if (base_dir.empty() || cur_dir.empty() || threshold <= 0) {
-        usage(argv[0]);
-        return 2;
-    }
+    if (pos.size() != 2)
+        flags.fail("expected a baseline and a current directory");
+    const std::string &base_dir = pos[0], &cur_dir = pos[1];
 
     const pmill::BenchDiffResult res =
         pmill::diff_bench_dirs(base_dir, cur_dir, threshold, host_threshold);

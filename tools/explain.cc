@@ -12,56 +12,37 @@
  * caller of acct_write_jsonl) emits; all other line types are skipped,
  * so pointing it at the full stats file Just Works. Exits 0 on a
  * rendered report, 1 when the stream has no accounting lines (e.g. a
- * -DPMILL_ACCT=OFF build), 2 on usage/IO errors.
+ * -DPMILL_ACCT=OFF build) or a malformed line or value, 2 on usage/IO
+ * errors.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/accounting/acct_report.hh"
-
-namespace {
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(stderr, "usage: %s <stats.jsonl | -> [--top N]\n", argv0);
-}
-
-} // namespace
+#include "src/common/parse.hh"
 
 int
 main(int argc, char **argv)
 {
-    std::string path;
-    std::size_t top_n = 5;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--top" && i + 1 < argc) {
-            top_n = static_cast<std::size_t>(std::atoi(argv[++i]));
-        } else if (arg.rfind("--top=", 0) == 0) {
-            top_n = static_cast<std::size_t>(
-                std::atoi(arg.c_str() + std::strlen("--top=")));
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (path.empty()) {
-            path = arg;
-        } else {
-            usage(argv[0]);
-            return 2;
-        }
+    std::uint32_t top_n = 5;
+    bool help = false;
+    pmill::FlagTable flags("pmill_explain", "<stats.jsonl | ->");
+    flags.u32("--top", "N", &top_n, 1, 1000, "a row count in [1, 1000]")
+        .on("--help", &help)
+        .on("-h", &help);
+    const std::vector<std::string> pos = flags.parse_or_exit(argc, argv);
+    if (help) {
+        std::fputs(flags.usage().c_str(), stderr);
+        return 0;
     }
-    if (path.empty() || top_n == 0) {
-        usage(argv[0]);
-        return 2;
-    }
+    if (pos.size() != 1)
+        flags.fail("expected one input file");
+    const std::string &path = pos[0];
 
     pmill::AcctReport report;
     std::string err;
